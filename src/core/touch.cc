@@ -1,6 +1,7 @@
 #include "core/touch.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <optional>
 #include <cmath>
@@ -36,27 +37,19 @@ Vec3 AverageExtent(std::span<const Box> boxes) {
 }
 
 // Per-axis grid resolution for one inner node: cells no smaller than
-// `min_cell_edge` on each axis, capped at `max_resolution` per axis and at
+// `min_cell_edge` on each axis (a flat node gets one cell on its flat axis,
+// see AxisResolutions), capped at `max_resolution` per axis and at
 // `max_total_cells` overall (halving resolutions until the product fits).
-void NodeGridResolution(const Box& node_mbr, const Vec3& min_cell_edge,
-                        int max_resolution, uint64_t max_total_cells,
-                        int out_res[3]) {
-  const Vec3 extent = node_mbr.Extent();
-  const float ext[3] = {extent.x, extent.y, extent.z};
-  const float edge[3] = {min_cell_edge.x, min_cell_edge.y, min_cell_edge.z};
-  for (int axis = 0; axis < 3; ++axis) {
-    int res = max_resolution;
-    if (edge[axis] > 0) {
-      res = static_cast<int>(ext[axis] / edge[axis]);
-    }
-    out_res[axis] = std::clamp(res, 1, max_resolution);
+std::array<int, 3> NodeGridResolution(const Box& node_mbr,
+                                      const Vec3& min_cell_edge,
+                                      int max_resolution,
+                                      uint64_t max_total_cells) {
+  std::array<int, 3> res =
+      AxisResolutions(node_mbr, min_cell_edge, max_resolution);
+  while (static_cast<uint64_t>(res[0]) * res[1] * res[2] > max_total_cells) {
+    for (int& axis_res : res) axis_res = std::max(1, axis_res / 2);
   }
-  while (static_cast<uint64_t>(out_res[0]) * out_res[1] * out_res[2] >
-         max_total_cells) {
-    for (int axis = 0; axis < 3; ++axis) {
-      out_res[axis] = std::max(1, out_res[axis] / 2);
-    }
-  }
+  return res;
 }
 
 // Dense per-node grid, reused across nodes via epoch stamping: a cell's list
@@ -245,15 +238,23 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
   SpanScope local_join_span("touch-local-join");
   const std::span<const uint32_t> item_ids = tree.item_ids();
 
-  // Minimum grid cell edge: a multiple of the average *raw* object extent
-  // (the smaller of the two datasets' averages — the enlarged side of a
-  // distance join must not dictate the cell size, see TouchOptions).
+  // Minimum grid cell edge per axis (see TouchOptions::cell_size_multiplier):
+  // a multiple of the smaller average extent, and never below the larger
+  // one, with both sides measured as joined — the probe side carries its
+  // on-the-fly enlargement, just as a tree over an enlarged copy carries
+  // its baked-in one.
   const Vec3 avg_build = AverageExtent(build);
-  const Vec3 avg_probe = AverageExtent(probe);
-  const Vec3 min_cell_edge(
-      options_.cell_size_multiplier * std::min(avg_build.x, avg_probe.x),
-      options_.cell_size_multiplier * std::min(avg_build.y, avg_probe.y),
-      options_.cell_size_multiplier * std::min(avg_build.z, avg_probe.z));
+  const Vec3 avg_probe =
+      AverageExtent(probe) +
+      Vec3(2 * probe_epsilon, 2 * probe_epsilon, 2 * probe_epsilon);
+  const auto cell_edge = [&](float build_extent, float probe_extent) {
+    return std::max(options_.cell_size_multiplier *
+                        std::min(build_extent, probe_extent),
+                    std::max(build_extent, probe_extent));
+  };
+  const Vec3 min_cell_edge(cell_edge(avg_build.x, avg_probe.x),
+                           cell_edge(avg_build.y, avg_probe.y),
+                           cell_edge(avg_build.z, avg_probe.z));
 
   // Per-worker scratch state; a single instance serves the sequential path.
   struct WorkerContext {
@@ -337,9 +338,9 @@ JoinStats TouchJoin::JoinOriented(std::span<const Box> build,
       // object probes the cells it overlaps. A pair straddling several
       // shared cells is reported only by the cell holding its reference
       // point.
-      int res[3];
-      NodeGridResolution(node.mbr, min_cell_edge, options_.grid_resolution,
-                         /*max_total_cells=*/uint64_t{1} << 18, res);
+      const std::array<int, 3> res =
+          NodeGridResolution(node.mbr, min_cell_edge, options_.grid_resolution,
+                             /*max_total_cells=*/uint64_t{1} << 18);
       const GridMapper grid(node.mbr, res[0], res[1], res[2]);
       const uint64_t stride_y = static_cast<uint64_t>(res[2]);
       const uint64_t stride_x = stride_y * static_cast<uint64_t>(res[1]);

@@ -26,13 +26,17 @@ struct TouchOptions {
   LocalJoinStrategy local_join = LocalJoinStrategy::kGrid;
   /// Maximum grid cells per dimension in the local join.
   int grid_resolution = 500;
-  /// Lower bound of the grid cell edge, as a multiple of the average object
-  /// extent ("considerably larger than the average size of the objects",
-  /// section 5.2.2). The reference is the *smaller* of the two datasets'
-  /// average extents: a distance join enlarges one dataset by epsilon, and
-  /// keying the cells off the bloated side would make them an order of
-  /// magnitude too coarse (the paper's 500-cell grid over the 1000-unit
-  /// space is 4x the raw object size, not 4x the enlarged size).
+  /// Lower bound of the local-join grid's cell edge ("considerably larger
+  /// than the average size of the objects", section 5.2.2). Per axis, the
+  /// edge is the larger of `cell_size_multiplier` times the smaller of the
+  /// two datasets' average extents and the larger average extent itself.
+  /// Both averages are taken as joined: the side a distance join enlarges
+  /// counts with its 2*epsilon, whether the enlargement is baked into the
+  /// tree's boxes or applied on the fly (`probe_epsilon`). For a plain join
+  /// of similar objects this is the paper's 4x rule (its 500-cell grid over
+  /// the 1000-unit space); once epsilon dwarfs the objects, cells track the
+  /// enlarged side, so an average object overlaps at most two cells per
+  /// axis instead of probing hundreds.
   float cell_size_multiplier = 4.0f;
   /// Nodes with fewer assigned entities than this skip the grid: each entity
   /// instead descends the node's own subtree, pruned by child MBRs — cheaper

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
@@ -78,6 +79,27 @@ class FirstEmitCollector : public ResultCollector {
   bool seen_ = false;
   double elapsed_seconds_ = 0.0;
 };
+
+/// `box` with every bound moved outward by a few ulps of the larger of its
+/// magnitude and the box's extent on that axis. For an epsilon window (extent
+/// >= 2 eps) that covers the rounding of any `x ± eps` landing near the
+/// bound, whichever side of the join the enlargement was applied to.
+Box WidenedByUlps(const Box& box) {
+  constexpr float kUlps = 4.0f;
+  const auto slack = [&](float bound, float extent) {
+    const float magnitude = std::max(std::fabs(bound), extent);
+    return kUlps * (std::nextafter(magnitude, HUGE_VALF) - magnitude);
+  };
+  const Vec3 extent = box.Extent();
+  Box out = box;
+  out.lo.x -= slack(box.lo.x, extent.x);
+  out.lo.y -= slack(box.lo.y, extent.y);
+  out.lo.z -= slack(box.lo.z, extent.z);
+  out.hi.x += slack(box.hi.x, extent.x);
+  out.hi.y += slack(box.hi.y, extent.y);
+  out.hi.z += slack(box.hi.z, extent.z);
+  return out;
+}
 
 Dataset EnlargedCopy(std::span<const Box> boxes, float epsilon) {
   Dataset out;
@@ -873,19 +895,25 @@ size_t QueryEngine::DeltaProbeLocked(internal::ContinuousSub& sub,
     old_ids.clear();
     new_ids.clear();
     // The epsilon window moves with the object: pairs live in the old
-    // window, the new window, or both. Enlarging the moved side is
-    // equivalent to enlarging the partner (closed-box intersection is
-    // symmetric under enlargement), so one probe orientation serves both.
-    if (m.had_old) {
+    // window, the new window, or both. The window is the moved box
+    // enlarged by epsilon, widened by a few ulps: in exact arithmetic,
+    // enlarging either side is the same test, but in float the rounding of
+    // `moved ± eps` and of `partner ± eps` can disagree at a gap of one
+    // ulp. Every candidate is then refined with the join's own predicate,
+    // Intersects(a.Enlarged(eps), b), so the delta stream holds exactly
+    // the pairs a one-shot join of either version reports.
+    const auto probe = [&](const Box& moved, std::vector<uint32_t>& ids) {
+      const Box window = moved.Enlarged(epsilon);
       catalog_.QueryObjects(
-          partner, m.old_box.Enlarged(epsilon),
-          [&](uint32_t id, const Box&) { old_ids.push_back(id); });
-    }
-    if (m.has_new) {
-      catalog_.QueryObjects(
-          partner, m.new_box.Enlarged(epsilon),
-          [&](uint32_t id, const Box&) { new_ids.push_back(id); });
-    }
+          partner, WidenedByUlps(window), [&](uint32_t id, const Box& box) {
+            const bool hit = mutated_is_a
+                                 ? Intersects(window, box)
+                                 : Intersects(box.Enlarged(epsilon), moved);
+            if (hit) ids.push_back(id);
+          });
+    };
+    if (m.had_old) probe(m.old_box, old_ids);
+    if (m.has_new) probe(m.new_box, new_ids);
     std::sort(old_ids.begin(), old_ids.end());
     std::sort(new_ids.begin(), new_ids.end());
     // Merge-diff: in-old-only pairs left the result set, in-new-only pairs

@@ -1,11 +1,13 @@
 #include "engine/planner.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <vector>
 
 #include "engine/calibration.h"
 #include "estimate/selectivity.h"
+#include "geom/grid.h"
 #include "util/format.h"
 
 namespace touch {
@@ -163,14 +165,20 @@ JoinPlan Planner::Plan(const DatasetStats& stats_a, const DatasetStats& stats_b,
     candidate.touch.join_order = candidate.build_on_a
                                      ? TouchOptions::JoinOrder::kBuildOnA
                                      : TouchOptions::JoinOrder::kBuildOnB;
-    // TOUCH's local-join cells are keyed off the *raw* objects: the distance
-    // join bloats one side by epsilon, and sizing cells by the bloated
-    // average would make them an order of magnitude too coarse (see
-    // TouchOptions::cell_size_multiplier).
-    const float raw_edge = std::min(MaxComponent(stats_a.avg_object_extent),
-                                    MaxComponent(stats_b.avg_object_extent));
-    candidate.touch.grid_resolution =
-        DomainResolution(joint, raw_edge, 500);
+    // grid_resolution only caps the cells per axis; the local join sizes
+    // each node's cells itself, never below cell_size_multiplier times the
+    // smaller raw average object nor below the epsilon-enlarged side's
+    // average (see TouchOptions::cell_size_multiplier). The cap is the
+    // finest grid that rule can ask for over the joint domain, with every
+    // axis sized on its own so a flat (zero-extent) axis does not collapse
+    // the cap to one cell.
+    const float min_edge =
+        candidate.touch.cell_size_multiplier *
+        std::min(MaxComponent(stats_a.avg_object_extent),
+                 MaxComponent(stats_b.avg_object_extent));
+    const std::array<int, 3> res =
+        AxisResolutions(joint, Vec3(min_edge, min_edge, min_edge), 500);
+    candidate.touch.grid_resolution = std::max({res[0], res[1], res[2]});
     return candidate;
   };
   const auto make_pbsm = [&]() {

@@ -29,7 +29,8 @@ struct internal::GatherState {
   IdMapPtr shard_of_b;
   size_t shards_a = 0;
   size_t shards_b = 0;
-  /// Merged result pairs (post-dedup), counted by the pair sinks.
+  /// Merged result pairs (post-dedup), added by the pair sinks as they
+  /// flush, together with the batch of pairs they hand to user_sink.
   std::atomic<uint64_t> merged_results{0};
   /// Pairs dropped by the owner filter (boundary duplicates).
   std::atomic<uint64_t> deduplicated{0};
@@ -65,8 +66,12 @@ using GatherStatePtr = std::shared_ptr<internal::GatherState>;
 /// The per-pair sink the inner engine owns: remaps shard-local ids to
 /// global ids, applies the owner dedup filter, and forwards survivors into
 /// the shared user sink. Each instance is driven by exactly one worker
-/// (the inner engine's per-request contract); only the user-sink hop is
-/// cross-pair and takes the mutex.
+/// (the inner engine's per-request contract), so survivors and counts
+/// buffer locally and cross into the shared state in batches: one
+/// sink_mutex acquisition per kShardPairFlushPairs pairs, plus a final
+/// flush in OnComplete — which the inner engine delivers after the pair's
+/// last Emit and before its future resolves, so everything is flushed
+/// before the gather's own OnComplete.
 class PairSink : public ResultSink {
  public:
   PairSink(GatherStatePtr state, IdMapPtr to_global_a, IdMapPtr to_global_b,
@@ -82,7 +87,7 @@ class PairSink : public ResultSink {
     // scatter can emit ids the pinned maps have never heard of; drop them
     // (the gather reports the dataset as of scatter time).
     if (local_a >= to_global_a_->size() || local_b >= to_global_b_->size()) {
-      state_->deduplicated.fetch_add(1, std::memory_order_relaxed);
+      ++deduplicated_;
       return;
     }
     const uint32_t global_a = (*to_global_a_)[local_a];
@@ -94,22 +99,43 @@ class PairSink : public ResultSink {
     // objects whose owner map entry went kNoShard (deleted mid-flight).
     if ((*state_->shard_of_a)[global_a] != index_a_ ||
         (*state_->shard_of_b)[global_b] != index_b_) {
-      state_->deduplicated.fetch_add(1, std::memory_order_relaxed);
+      ++deduplicated_;
       return;
     }
-    state_->merged_results.fetch_add(1, std::memory_order_relaxed);
+    ++merged_;
     if (state_->user_sink != nullptr) {
-      const MutexLock lock(state_->sink_mutex);
-      state_->user_sink->Emit(global_a, global_b);
+      pending_.emplace_back(global_a, global_b);
+      if (pending_.size() >= kShardPairFlushPairs) Flush();
     }
   }
 
+  void OnComplete(const JoinResult&) override { Flush(); }
+
  private:
+  void Flush() {
+    state_->merged_results.fetch_add(merged_, std::memory_order_relaxed);
+    state_->deduplicated.fetch_add(deduplicated_, std::memory_order_relaxed);
+    merged_ = 0;
+    deduplicated_ = 0;
+    if (pending_.empty()) return;
+    {
+      const MutexLock lock(state_->sink_mutex);
+      for (const auto& [global_a, global_b] : pending_) {
+        state_->user_sink->Emit(global_a, global_b);
+      }
+    }
+    pending_.clear();
+  }
+
   GatherStatePtr state_;
   IdMapPtr to_global_a_;
   IdMapPtr to_global_b_;
   uint32_t index_a_;
   uint32_t index_b_;
+  /// Surviving global pairs and counts not yet handed to the shared state.
+  std::vector<std::pair<uint32_t, uint32_t>> pending_;
+  uint64_t merged_ = 0;
+  uint64_t deduplicated_ = 0;
 };
 
 }  // namespace

@@ -19,6 +19,11 @@ namespace internal {
 struct GatherState;
 }  // namespace internal
 
+/// Surviving pairs a shard pair buffers before handing them to the user
+/// sink in one batch under the gather's sink mutex (a shard pair also
+/// flushes whatever is left when it completes).
+inline constexpr size_t kShardPairFlushPairs = 4096;
+
 /// One executed shard pair of a sharded join: which shards met, the plan
 /// they were scattered with (stats-only Planner::Plan over the shards'
 /// *deserialized* stats), and what the execution measured. Pruned pairs
@@ -148,8 +153,9 @@ class ShardedQueryEngine {
 
   /// Scatters the request across shard pairs (see class comment). `sink`
   /// (optional) receives merged, deduplicated (a, b) pairs in *global* id
-  /// space; Emit calls are serialized across pairs. Its OnComplete runs
-  /// inside the handle's Get().
+  /// space; Emit calls are serialized across pairs and arrive in batches of
+  /// up to kShardPairFlushPairs per shard pair. Its OnComplete runs inside
+  /// the handle's Get(), after every pair's last batch.
   ShardedRequestHandle Submit(const JoinRequest& request,
                               std::unique_ptr<ResultSink> sink = nullptr);
 

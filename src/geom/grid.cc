@@ -42,4 +42,25 @@ Box GridMapper::CellBounds(const CellCoord& c) const {
   return Box(lo, Vec3(lo.x + cell_w_[0], lo.y + cell_w_[1], lo.z + cell_w_[2]));
 }
 
+std::array<int, 3> AxisResolutions(const Box& domain, const Vec3& min_cell_edge,
+                                   int max_res) {
+  const Vec3 extent = domain.Extent();
+  const float ext[3] = {extent.x, extent.y, extent.z};
+  const float edge[3] = {min_cell_edge.x, min_cell_edge.y, min_cell_edge.z};
+  const int cap = std::max(1, max_res);
+  std::array<int, 3> res{1, 1, 1};
+  for (int axis = 0; axis < 3; ++axis) {
+    if (!(ext[axis] > 0)) continue;  // flat axis: one cell
+    if (!(edge[axis] > 0)) {
+      res[axis] = cap;
+      continue;
+    }
+    const float ratio = ext[axis] / edge[axis];
+    res[axis] = ratio >= static_cast<float>(cap)
+                    ? cap
+                    : std::max(1, static_cast<int>(ratio));
+  }
+  return res;
+}
+
 }  // namespace touch

@@ -1,6 +1,7 @@
 #ifndef TOUCH_GEOM_GRID_H_
 #define TOUCH_GEOM_GRID_H_
 
+#include <array>
 #include <cstdint>
 
 #include "geom/box.h"
@@ -83,6 +84,15 @@ class GridMapper {
   float cell_w_[3];   // cell width per axis
   float inv_w_[3];    // 1 / cell width
 };
+
+/// Cells per axis for an equi-width grid over `domain` whose cells are no
+/// smaller than `min_cell_edge` on each axis, capped at `max_res`. Each axis
+/// is sized on its own, so a flat axis cannot coarsen the others: a
+/// zero-extent axis gets 1 cell, and an axis whose edge is non-positive
+/// (point-like objects) gets `max_res`. The ratio is compared in float
+/// before any int conversion (tiny edges in a huge domain overflow int).
+std::array<int, 3> AxisResolutions(const Box& domain, const Vec3& min_cell_edge,
+                                   int max_res);
 
 /// The reference point of an intersection region: its minimum corner. PBSM
 /// uses it to report each result pair exactly once — only the grid cell that

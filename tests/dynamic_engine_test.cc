@@ -278,6 +278,56 @@ TEST(ContinuousJoinTest, FoldedDeltaStreamEqualsFullRejoin) {
   EXPECT_EQ(fold->deltas, deltas_at_cancel);
 }
 
+// A gap one ulp wider than epsilon: a.lo.x - eps rounds to just above b.hi.x
+// (the join predicate says "apart"), while b.hi.x + eps rounds up to a.lo.x
+// (enlarging the moved B box would say "touching"). The delta probe must
+// follow the join's predicate, Intersects(a.Enlarged(eps), b), whichever
+// side moves. Geometry from a continuous-join run whose folded stream held
+// one pair no algorithm's re-join reported.
+TEST(ContinuousJoinTest, DeltaProbeFollowsJoinPredicateAtUlpGap) {
+  const float epsilon = 6.0f;
+  const float a_lo_x = 130.755005f;
+  const float b_hi_x = 124.754997f;
+  const Box a_box = MakeBox(a_lo_x, 0, 0, a_lo_x + 1, 1, 1);
+  const Box b_box = MakeBox(b_hi_x - 1, 0, 0, b_hi_x, 1, 1);
+  ASSERT_FALSE(Intersects(a_box.Enlarged(epsilon), b_box));
+  ASSERT_TRUE(Intersects(a_box, b_box.Enlarged(epsilon)))
+      << "the geometry no longer straddles the rounding gap";
+  const Box far_box = MakeBox(900, 900, 900, 901, 901, 901);
+  QueryEngine engine;
+  const DatasetHandle a = engine.RegisterDataset("A", Dataset{far_box});
+  const DatasetHandle b = engine.RegisterDataset("B", Dataset{far_box});
+  auto fold = std::make_shared<FoldState>();
+  JoinRequest request{a, b, epsilon};
+  request.continuous = true;
+  RequestHandle handle =
+      engine.Submit(request, std::make_unique<FoldingSink>(fold));
+  ASSERT_TRUE(handle.valid());
+  ASSERT_EQ(fold->pairs.size(), 1u);  // the two far boxes coincide
+
+  const auto expect_matches_rejoin = [&](const std::string& step) {
+    EXPECT_EQ(fold->pairs,
+              BruteForcePairs(*engine.catalog().snapshot(a),
+                              *engine.catalog().snapshot(b), epsilon))
+        << step;
+  };
+  // B moves next to A's future spot, then A arrives: both orientations.
+  engine.ApplyMutations(a, std::vector<Mutation>{
+                               {MutationKind::kUpdate, 0, a_box}});
+  expect_matches_rejoin("A moved");
+  engine.ApplyMutations(b, std::vector<Mutation>{
+                               {MutationKind::kUpdate, 0, b_box}});
+  expect_matches_rejoin("B moved to the ulp gap");
+  engine.ApplyMutations(b, std::vector<Mutation>{
+                               {MutationKind::kInsert, kInvalidObjectId, b_box}});
+  expect_matches_rejoin("B inserted at the ulp gap");
+  engine.ApplyMutations(a, std::vector<Mutation>{
+                               {MutationKind::kInsert, kInvalidObjectId, a_box}});
+  expect_matches_rejoin("A inserted at the ulp gap");
+  EXPECT_TRUE(fold->pairs.empty());
+  EXPECT_TRUE(handle.Cancel());
+}
+
 TEST(ContinuousJoinTest, RejectsMissingSinkAndSelfJoin) {
   QueryEngine engine;
   const DatasetHandle a = engine.RegisterDataset(

@@ -451,5 +451,90 @@ TEST(ShardedEngineTest, MergedTelemetryAggregatesPairs) {
   EXPECT_EQ(warm.merged.stats.results, result.merged.stats.results);
 }
 
+// --- Batched pair emission ---------------------------------------------------
+
+/// Every shard pair returns more surviving pairs than one flush batch, so
+/// the pair sinks flush mid-join as well as on completion.
+EngineOptions DenseTouchOptions() {
+  EngineOptions options;
+  options.shards = 2;  // 4 shard pairs
+  options.threads = 2;
+  options.planner.nested_loop_max = 0;
+  options.planner.plane_sweep_max = 0;
+  options.planner.pbsm_skew_max = -1.0;  // TOUCH everywhere
+  return options;
+}
+
+Dataset DenseUniform(uint64_t seed) {
+  SyntheticOptions gen;
+  gen.space = 200.0f;
+  return GenerateSynthetic(Distribution::kUniform, 6000, seed, gen);
+}
+
+TEST(ShardedEngineTest, BatchedEmissionMatchesUnshardedPairForPair) {
+  const ShardedJoinResult result = ExpectShardedMatchesUnsharded(
+      DenseTouchOptions(), 2, DenseUniform(71), DenseUniform(72), 10.0f);
+  ASSERT_EQ(result.pairs.size(), 4u);
+  for (const ShardPairReport& pair : result.pairs) {
+    EXPECT_GT(pair.stats.results, kShardPairFlushPairs)
+        << "shard pair (" << pair.shard_a << ", " << pair.shard_b
+        << ") does not span several flush batches";
+  }
+}
+
+TEST(ShardedEngineTest, CancelledGatherDeliversNoEmitAfterCompletion) {
+  struct Record {
+    std::atomic<uint64_t> emits{0};
+    std::atomic<uint64_t> late_emits{0};
+    std::atomic<bool> completed{false};
+    std::atomic<bool> first_emit{false};
+    std::atomic<bool> released{false};
+  };
+  // The first Emit parks its worker mid-join (inside a flush batch) until
+  // the test has cancelled, so the cancel lands while pairs are executing.
+  class ParkingSink : public ResultSink {
+   public:
+    explicit ParkingSink(std::shared_ptr<Record> record)
+        : record_(std::move(record)) {}
+    void Emit(uint32_t, uint32_t) override {
+      if (record_->completed.load()) record_->late_emits.fetch_add(1);
+      record_->emits.fetch_add(1);
+      if (!record_->first_emit.exchange(true)) {
+        while (!record_->released.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    }
+    void OnComplete(const JoinResult&) override {
+      record_->completed.store(true);
+    }
+
+   private:
+    std::shared_ptr<Record> record_;
+  };
+  ShardedQueryEngine engine(DenseTouchOptions());
+  const DatasetHandle ha = engine.RegisterDataset("A", DenseUniform(71));
+  const DatasetHandle hb = engine.RegisterDataset("B", DenseUniform(72));
+  auto record = std::make_shared<Record>();
+  ShardedRequestHandle handle = engine.Submit(
+      {ha, hb, 10.0f}, std::make_unique<ParkingSink>(record));
+  ASSERT_EQ(handle.pair_count(), 4u);
+  while (!record->first_emit.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(handle.Cancel());
+  record->released.store(true);
+
+  const ShardedJoinResult result = handle.Get();
+  EXPECT_EQ(result.merged.status, RequestStatus::kCancelled);
+  EXPECT_TRUE(record->completed.load());
+  // Pairs still unwinding after the cancel flush before their futures
+  // resolve, so nothing can trail the gather's OnComplete.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(record->late_emits.load(), 0u);
+  EXPECT_EQ(record->emits.load(), result.merged.stats.results);
+  EXPECT_GE(record->emits.load(), kShardPairFlushPairs);
+}
+
 }  // namespace
 }  // namespace touch

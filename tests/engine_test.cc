@@ -332,5 +332,40 @@ TEST_F(QueryEngineTest, InvalidHandlesAreRejected) {
   EXPECT_EQ(out.count(), 0u);
 }
 
+// Planar data (every box flat at z = 0): the zero-extent axis must get one
+// cell without coarsening x and y, both in the plan's grid cap and in every
+// node's local-join grid; otherwise the grid collapses to a single cell and
+// the local join compares every pair.
+TEST(PlanarJoinTest, TouchKeepsAFineGridOnFlatData) {
+  const auto planar = [](size_t count, uint64_t seed) {
+    Dataset boxes = GenerateSynthetic(Distribution::kClustered, count, seed);
+    for (Box& box : boxes) box.lo.z = box.hi.z = 0.0f;
+    return boxes;
+  };
+  const Dataset a = planar(20000, 81);
+  const Dataset b = planar(40000, 82);
+  QueryEngine engine;
+  const DatasetHandle ha = engine.RegisterDataset("A", a);
+  const DatasetHandle hb = engine.RegisterDataset("B", b);
+  const JoinRequest request{ha, hb, 2.0f};
+  const JoinPlan plan = engine.Plan(request);
+  ASSERT_EQ(plan.algorithm, "touch") << plan.rationale;
+  EXPECT_GT(plan.touch.grid_resolution, 1);
+
+  VectorCollector touch_out;
+  const JoinResult touch = engine.Execute(request, touch_out);
+  ASSERT_TRUE(touch.ok()) << touch.error;
+  ASSERT_EQ(touch.plan.algorithm, "touch");
+  VectorCollector ps_out;
+  const JoinResult ps = engine.ExecuteFixed("ps", request, ps_out);
+  ASSERT_TRUE(ps.ok()) << ps.error;
+  const std::vector<IdPair> expected = SortedPairs(ps_out);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(SortedPairs(touch_out), expected);
+  EXPECT_LE(static_cast<double>(touch.stats.comparisons),
+            0.01 * static_cast<double>(a.size()) *
+                static_cast<double>(b.size()));
+}
+
 }  // namespace
 }  // namespace touch

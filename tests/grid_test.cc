@@ -136,5 +136,24 @@ TEST(ReferencePointTest, LiesInsideBothBoxesWhenIntersecting) {
   }
 }
 
+TEST(AxisResolutionsTest, SizesEveryAxisOnItsOwn) {
+  const std::array<int, 3> res =
+      AxisResolutions(MakeBox(0, 0, 0, 100, 20, 8), Vec3(2, 2, 4), 500);
+  EXPECT_EQ(res, (std::array<int, 3>{50, 10, 2}));
+}
+
+TEST(AxisResolutionsTest, FlatAxisGetsOneCellWithoutCoarseningTheOthers) {
+  // Planar data: zero extent and zero average edge on z.
+  const std::array<int, 3> res =
+      AxisResolutions(MakeBox(0, 0, 0, 1000, 1000, 0), Vec3(2, 2, 0), 500);
+  EXPECT_EQ(res, (std::array<int, 3>{500, 500, 1}));
+}
+
+TEST(AxisResolutionsTest, PointLikeObjectsHitTheCapAndRatiosClampToOne) {
+  const std::array<int, 3> res = AxisResolutions(
+      MakeBox(0, 0, 0, 1e30f, 10, 1), Vec3(1e-30f, 0, 100), 64);
+  EXPECT_EQ(res, (std::array<int, 3>{64, 64, 1}));
+}
+
 }  // namespace
 }  // namespace touch

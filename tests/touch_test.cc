@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/overlap_kernel.h"
 #include "datagen/distributions.h"
 #include "test_util.h"
+#include "util/simd.h"
 
 namespace touch {
 namespace {
@@ -273,6 +275,61 @@ TEST(DistanceJoinTest, ZeroEpsilonIsPlainSpatialJoin) {
   auto pairs = out.pairs();
   std::sort(pairs.begin(), pairs.end());
   EXPECT_EQ(pairs, OracleJoin(a, b));
+}
+
+// The two orientations the engine runs a cached distance join in: a tree
+// over the enlarged copy of A probed by raw B (epsilon baked into the tree),
+// and a tree over raw B probed by A with probe_epsilon (epsilon applied on
+// the fly, pairs flipped back to (a, b)). The local-join cell rule counts
+// epsilon on whichever side carries it, so both must equal the nested loop
+// from epsilon 0 up to ten times the objects, at every dispatch level.
+TEST(DistanceJoinTest, BothOrientationsMatchNestedLoopAtEverySimdLevel) {
+  SyntheticOptions gen;
+  gen.space = 60.0f;
+  gen.max_side = 2.0f;
+  const Dataset a = GenerateSynthetic(Distribution::kUniform, 1200, 36, gen);
+  const Dataset b = GenerateSynthetic(Distribution::kClustered, 2000, 37, gen);
+  double extent_sum = 0;
+  for (const Dataset* boxes : {&a, &b}) {
+    for (const Box& box : *boxes) {
+      const Vec3 e = box.Extent();
+      extent_sum += (e.x + e.y + e.z) / 3.0;
+    }
+  }
+  const float avg_extent =
+      static_cast<float>(extent_sum / static_cast<double>(a.size() + b.size()));
+  const TouchTree tree_b(b, /*leaf_capacity=*/8, /*fanout=*/2);
+  const simd::Level entry_level = ActiveSimdLevel();
+  for (const float scale : {0.0f, 0.25f, 10.0f}) {
+    const float epsilon = scale * avg_extent;
+    Dataset enlarged_a = a;
+    for (Box& box : enlarged_a) box = box.Enlarged(epsilon);
+    const std::vector<IdPair> expected = OracleJoin(enlarged_a, b);
+    ASSERT_FALSE(expected.empty()) << "epsilon " << epsilon;
+    const TouchTree tree_a(enlarged_a, /*leaf_capacity=*/8, /*fanout=*/2);
+    for (const simd::Level level : simd::RuntimeAvailableLevels()) {
+      ASSERT_TRUE(ForceSimdLevel(level));
+      const std::string context = std::string("epsilon ") +
+                                  std::to_string(epsilon) + " at " +
+                                  simd::LevelName(level);
+      TouchJoin join;
+      VectorCollector baked;
+      join.JoinWithPrebuiltTree(tree_a, enlarged_a, b, baked);
+      std::vector<IdPair> baked_pairs = baked.pairs();
+      std::sort(baked_pairs.begin(), baked_pairs.end());
+      EXPECT_EQ(baked_pairs, expected) << "tree over enlarged A, " << context;
+
+      VectorCollector on_the_fly;
+      join.JoinWithPrebuiltTree(tree_b, b, a, on_the_fly, epsilon);
+      std::vector<IdPair> flipped;
+      for (const auto& [b_id, a_id] : on_the_fly.pairs()) {
+        flipped.emplace_back(a_id, b_id);
+      }
+      std::sort(flipped.begin(), flipped.end());
+      EXPECT_EQ(flipped, expected) << "tree over raw B, " << context;
+    }
+  }
+  ForceSimdLevel(entry_level);
 }
 
 }  // namespace
